@@ -15,9 +15,11 @@ scheduler makes.  Three gates:
    real asyncio front end (4 worker replicas pulling batches concurrently)
    must run exactly as many cold Algorithm 1 searches as the simulated
    continuous scheduler — concurrency never duplicates a search.
-3. **Equivalence**: a seeded trace replayed through the front end in
-   virtual time must reproduce the simulated scheduler's batch
-   compositions, placements and timings decision-for-decision.
+3. **Equivalence**: a seeded trace through ``replay_trace`` (the front
+   end's own admission pipeline) must reproduce
+   ``engine.run(policy="continuous")``'s batch compositions, placements
+   and timings decision-for-decision.  Both run the front end's one
+   virtual-time loop; the tests hold that loop to golden traces.
 
 Each run appends a record to the cumulative ``BENCH_serving.json``
 trajectory so future PRs can regress against the history.

@@ -14,9 +14,9 @@ failing fleet neither loses requests nor loses determinism.  Four gates:
 3. **Chaos determinism**: two virtual-time replays under the same
    injection seed produce bit-identical decision traces (batches,
    placements, attempts, timings).
-4. **Equivalence under faults**: the simulated scheduler and the live
-   front end's virtual-time replay make identical decisions under
-   identical injection seeds — fault handling did not fork the drivers.
+4. **Equivalence under faults**: ``engine.run(policy="continuous")`` and
+   ``replay_trace`` make identical decisions under identical injection
+   seeds (both run the front end's one virtual-time loop).
 
 A live (real asyncio workers) chaos pass additionally checks that every
 future resolves.  Each run appends a record to the cumulative

@@ -16,9 +16,9 @@ real OS processes.  Three gates:
    one, with zero duplicate searches.
 3. **Decision equivalence**: ``cluster_replay_trace`` over real worker
    processes is bit-identical (timings included, under
-   ``charge_selection=False``) to the simulated scheduler on the same
-   seeded trace — crossing a process boundary changed nothing the policy
-   can observe.
+   ``charge_selection=False``) to ``engine.run(policy="continuous")`` in
+   one process on the same seeded trace — crossing a process boundary
+   changed nothing the policy can observe.
 
 Each run appends a record to the cumulative ``BENCH_serving.json``
 trajectory so future PRs can regress against the history.

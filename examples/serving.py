@@ -21,16 +21,16 @@ serve the same traffic with zero cold searches.
 
 The last section leaves the simulated clock entirely: the **live asyncio
 front end** serves the same kind of traffic through real concurrent
-replica workers (all sharing the engine's sharded plan cache), sheds
+replica workers (all sharing the engine's sharded plan cache) and sheds
 arrivals past its queue-depth bound instead of queueing them past SLO
-feasibility, and — replayed in virtual time — reproduces the simulated
-scheduler's decisions exactly (see docs/concurrency.md).
+feasibility (see docs/concurrency.md).
 
 The closing section goes one step further: the **process pool** serves
 the same traffic with each replica a real OS worker process behind an RPC
 channel, plan-cache deltas keeping the fleet warm with one process's
-worth of cold searches, and the replay proving the boundary changed no
-decision (see docs/cluster.md).
+worth of cold searches, and a virtual-time replay through the pool
+matching the same replay in this process decision for decision — proof
+that the process boundary changed no decision (see docs/cluster.md).
 
 Run:  PYTHONPATH=src python examples/serving.py
 """
@@ -206,7 +206,7 @@ def main():
     # ------------------------------------------------------------------
     # The live path: real asyncio workers instead of a simulated clock.
     # ------------------------------------------------------------------
-    from repro.runtime import decision_trace, replay_trace, serve_workloads
+    from repro.runtime import serve_workloads
 
     # Four replica workers pull closed batches concurrently; every worker
     # gets its own model backend, all resolving into one sharded plan
@@ -241,33 +241,6 @@ def main():
         f"{len(shed_report.requests) - shed_report.shed_requests}, shed "
         f"{shed_report.shed_requests} (all {len(shed_report.requests)} "
         f"reported)"
-    )
-
-    # Deterministic replay: the same front-end pipeline driven in virtual
-    # time reproduces the simulated scheduler decision-for-decision.
-    # charge_selection=False keeps measured selection wall time off the
-    # simulated timeline so even start/exec times compare bit-for-bit.
-    def replay_engine():
-        return ServingEngine(
-            V100, max_batch_tokens=8192, max_batch_size=8, replicas=4,
-            batch_window_us=3000.0, plan_cache=PlanCache(),
-            enforce_memory=False, charge_selection=False,
-        )
-
-    sim_engine = replay_engine()
-    sim_engine.submit_many(mixed_stream(), interarrival_us=2000.0)
-    simulated = sim_engine.run(policy="continuous")
-
-    replay_src = replay_engine()
-    requests = replay_src.submit_many(mixed_stream(), interarrival_us=2000.0)
-    replayed = replay_trace(replay_src, requests)
-    identical = decision_trace(replayed, include_timing=True) == (
-        decision_trace(simulated, include_timing=True)
-    )
-    print(
-        f"virtual-time replay vs simulated scheduler: "
-        f"{'decision-identical' if identical else 'DIVERGED'} "
-        f"({len(replayed.batches)} batches, timings included)"
     )
 
     # ------------------------------------------------------------------
@@ -339,12 +312,17 @@ def main():
         f"searches fleet-wide"
     )
 
-    # And the same equivalence gate holds across the process boundary:
-    # virtual-time replay through real worker processes reproduces the
-    # simulated scheduler's decisions, timings included.  (The cluster
-    # front end requires overlap_selection=False — speculative batch-open
-    # searches would run host-side and fork the plan traffic.)
-    def cluster_engine():
+    # Deterministic replay: engine.run(policy="continuous"), replay_trace
+    # and cluster_replay_trace all run the front end's one virtual-time
+    # loop, so a trace replayed through real worker processes makes the
+    # same decisions as the same trace replayed in this process — timings
+    # included, since charge_selection=False keeps measured selection wall
+    # time off the simulated timeline.  (The cluster front end requires
+    # overlap_selection=False — speculative batch-open searches would run
+    # host-side and fork the plan traffic.)
+    from repro.runtime import decision_trace, replay_trace
+
+    def replay_engine():
         return ServingEngine(
             V100, max_batch_tokens=8192, max_batch_size=8, replicas=4,
             batch_window_us=3000.0, plan_cache=PlanCache(),
@@ -352,21 +330,20 @@ def main():
             charge_selection=False,
         )
 
-    csim = cluster_engine()
-    csim.submit_many(mixed_stream(), interarrival_us=2000.0)
-    csim_report = csim.run(policy="continuous")
-    crep = cluster_engine()
-    crequests = crep.submit_many(mixed_stream(), interarrival_us=2000.0)
-    creplayed = cluster_replay_trace(crep, crequests)
-    cidentical = decision_trace(creplayed, include_timing=True) == (
-        decision_trace(csim_report, include_timing=True)
+    local = replay_engine()
+    requests = local.submit_many(mixed_stream(), interarrival_us=2000.0)
+    replayed = replay_trace(local, requests)
+    pool = replay_engine()
+    crequests = pool.submit_many(mixed_stream(), interarrival_us=2000.0)
+    creplayed = cluster_replay_trace(pool, crequests)
+    identical = decision_trace(creplayed, include_timing=True) == (
+        decision_trace(replayed, include_timing=True)
     )
     print(
-        f"cluster replay vs simulated scheduler: "
-        f"{'decision-identical' if cidentical else 'DIVERGED'} "
+        f"cluster replay vs in-process replay: "
+        f"{'decision-identical' if identical else 'DIVERGED'} "
         f"({len(creplayed.batches)} batches, real worker processes)"
     )
-
 
 if __name__ == "__main__":
     main()

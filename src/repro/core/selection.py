@@ -29,7 +29,13 @@ import numpy as np
 from ..analysis.runtime_checks import make_lock
 from ..hw.costmodel import TileConfig, sparse_matmul_time_us
 from ..hw.spec import GPUSpec, dtype_bytes
-from .cover import CoverCache, SampleStack, batched_matmul_workload, matmul_workload
+from .cover import (
+    CoverCache,
+    SampleStack,
+    batched_matmul_workload,
+    dense_matmul_workload,
+    matmul_workload,
+)
 from .detector import index_construction_time_us
 from .microtile import MicroTile
 from .rules import matmul_rules
@@ -127,71 +133,6 @@ def _rule_workload_shape(rule, transposed: bool) -> tuple:
     return ((rule.tile.tn if transposed else rule.tile.tm), 1)
 
 
-def _eval_rules_fast(rules, stack: SampleStack, dense_extent: int,
-                     sparse_operand: str, tiledb: TileDB, profile_rules):
-    """Vectorized candidate evaluation over a stacked sample batch.
-
-    All samples share one cover pyramid; each rule's workload is computed
-    across the whole stack in one pooled-counts pass, and only the O(1)
-    cost-model arithmetic runs per sample.
-    """
-    spec, dtype = tiledb.spec, tiledb.dtype
-    transposed = sparse_operand == "B"
-    need = []
-    for rule in rules:
-        need.append(_rule_workload_shape(rule, transposed))
-        need.append(rule.microtile.shape)
-    stack.prime(need, transposed=transposed)
-
-    sample_shape = stack.sample_shape
-    num_samples = stack.num_samples
-    best, best_cost, best_cov = None, float("inf"), 0.0
-    for rule in rules:
-        t0 = time.perf_counter() if profile_rules is not None else 0.0
-        wls = batched_matmul_workload(
-            stack, rule.tile, rule.pit_axis, dense_extent,
-            sparse_operand=sparse_operand,
-        )
-        cover_counts = stack.num_microtiles(
-            rule.microtile.shape, transposed=transposed
-        )
-        cover_cells = stack.grid_cells(
-            rule.microtile.shape, transposed=transposed
-        )
-        contig = max(rule.microtile.shape) * dtype_bytes(dtype)
-        cost = 0.0
-        cov = 0.0
-        for s in range(num_samples):
-            wl = wls[s]
-            detector = index_construction_time_us(
-                sample_shape, dtype, spec, wl.num_microtiles
-            )
-            cost += sparse_matmul_time_us(
-                wl.total_k_steps,
-                wl.num_output_tiles,
-                rule.tile,
-                dtype,
-                spec,
-                tensor_core=tiledb.tensor_core,
-                sread_contig_bytes=contig,
-                detector_us=detector,
-            )
-            cov += 1.0 - float(cover_counts[s]) / max(1, cover_cells)
-        cost /= num_samples
-        cov /= num_samples
-        if profile_rules is not None:
-            profile_rules.append({
-                "tile": rule.tile.describe(),
-                "pit_axis": rule.pit_axis,
-                "microtile": str(rule.microtile),
-                "eval_us": (time.perf_counter() - t0) * 1e6,
-                "mean_cost_us": cost,
-            })
-        if cost < best_cost:
-            best, best_cost, best_cov = rule, cost, cov
-    return best, best_cost, best_cov
-
-
 def _eval_rules_legacy(rules, samples, dense_extent: int, sparse_operand: str,
                        tiledb: TileDB, profile_rules):
     """The pre-pyramid evaluation loop: one naive cover scan per distinct
@@ -247,6 +188,38 @@ def _eval_rules_legacy(rules, samples, dense_extent: int, sparse_operand: str,
     return best, best_cost, best_cov
 
 
+def _sequential_mean(values) -> float:
+    """Left-to-right sum of ``values`` divided by their count.
+
+    ``ndarray.mean`` sums pairwise from eight values on, and ``sum`` over
+    floats compensates on Python 3.12+; either can move the last bit, and
+    selection costs keep this summation order.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
+def _dense_candidate(m: int, k: int, n: int, tiledb: TileDB) -> tuple:
+    """The dense fallback's ``(tile, cost_us)``.
+
+    Priced with the same wave-quantized formula as the sparse candidates so
+    that rounding differences cannot flip the comparison; a dense-ish input
+    must fall back (Section 3.2).
+    """
+    entry = tiledb.best_dense_tile(m, k, n)
+    wl = dense_matmul_workload(m, k, n, entry.tile)
+    return entry.tile, sparse_matmul_time_us(
+        wl.total_k_steps,
+        wl.num_output_tiles,
+        entry.tile,
+        tiledb.dtype,
+        tiledb.spec,
+        tensor_core=tiledb.tensor_core,
+    )
+
+
 def kernel_selection(
     sparsity_samples,
     m: int,
@@ -285,17 +258,19 @@ def kernel_selection(
     dense_extent = n if sparse_operand == "A" else m
 
     start = time.perf_counter()
-    spec = tiledb.spec
-    dtype = tiledb.dtype
     profile_rules = [] if profile is not None else None
 
     # foreach T in GetTilesFromTileDB x foreach A in GetPITAxis
     rules = matmul_rules(tiledb.tiles(), sparse_operand=sparse_operand)
     if fastpath:
-        best, best_cost, best_cov = _eval_rules_fast(
+        best, best_cost, best_cov = None, float("inf"), 0.0
+        for rule, costs, covs in _eval_rules_per_sample(
             rules, SampleStack(samples), dense_extent, sparse_operand,
             tiledb, profile_rules,
-        )
+        ):
+            cost = _sequential_mean(costs)
+            if cost < best_cost:
+                best, best_cost, best_cov = rule, cost, _sequential_mean(covs)
     else:
         best, best_cost, best_cov = _eval_rules_legacy(
             rules, samples, dense_extent, sparse_operand, tiledb,
@@ -317,24 +292,10 @@ def kernel_selection(
         choice_tile = best.tile
 
     if include_dense_fallback:
-        # The dense candidate is priced with the same wave-quantized formula
-        # as the sparse candidates so that rounding differences cannot flip
-        # the comparison; a dense-ish input must fall back (Section 3.2).
-        from .cover import dense_matmul_workload
-
-        dense_entry = tiledb.best_dense_tile(m, k, n)
-        dwl = dense_matmul_workload(m, k, n, dense_entry.tile)
-        dense_cost = sparse_matmul_time_us(
-            dwl.total_k_steps,
-            dwl.num_output_tiles,
-            dense_entry.tile,
-            dtype,
-            spec,
-            tensor_core=tiledb.tensor_core,
-        )
+        dense_tile, dense_cost = _dense_candidate(m, k, n, tiledb)
         if dense_cost <= best_cost:
             choice_axis, choice_micro = None, None
-            choice_tile, best_cost, best_cov = dense_entry.tile, dense_cost, 0.0
+            choice_tile, best_cost, best_cov = dense_tile, dense_cost, 0.0
 
     elapsed_us = (time.perf_counter() - start) * 1e6
     if profile is not None:
@@ -359,10 +320,14 @@ def _eval_rules_per_sample(rules, stack: SampleStack, dense_extent: int,
                            sparse_operand: str, tiledb: TileDB, profile_rules):
     """Per-sample candidate costs over a stacked batch (no averaging).
 
-    The nm-sparse search stacks *permutation candidates x samples* into one
-    :class:`SampleStack` (the enumerate-all-candidates-in-one-tensor idiom),
-    so it needs every stacked entry's cost individually — averaging happens
-    per candidate, outside.  Returns ``[(rule, costs[S], covs[S]), ...]``.
+    All samples share one cover pyramid; each rule's workload is computed
+    across the whole stack in one pooled-counts pass, and only the O(1)
+    cost-model arithmetic runs per sample.  :func:`kernel_selection`
+    averages each rule's costs over the samples; the nm-sparse search
+    stacks *permutation candidates x samples* into one :class:`SampleStack`
+    (the enumerate-all-candidates-in-one-tensor idiom) and averages per
+    candidate.  Returns ``[(rule, costs, covs), ...]`` with one float per
+    stacked sample in each list.
     """
     spec, dtype = tiledb.spec, tiledb.dtype
     transposed = sparse_operand == "B"
@@ -388,14 +353,13 @@ def _eval_rules_per_sample(rules, stack: SampleStack, dense_extent: int,
             rule.microtile.shape, transposed=transposed
         )
         contig = max(rule.microtile.shape) * dtype_bytes(dtype)
-        costs = np.empty(num_samples)
-        covs = np.empty(num_samples)
+        costs, covs = [], []
         for s in range(num_samples):
             wl = wls[s]
             detector = index_construction_time_us(
                 sample_shape, dtype, spec, wl.num_microtiles
             )
-            costs[s] = sparse_matmul_time_us(
+            costs.append(sparse_matmul_time_us(
                 wl.total_k_steps,
                 wl.num_output_tiles,
                 rule.tile,
@@ -404,15 +368,15 @@ def _eval_rules_per_sample(rules, stack: SampleStack, dense_extent: int,
                 tensor_core=tiledb.tensor_core,
                 sread_contig_bytes=contig,
                 detector_us=detector,
-            )
-            covs[s] = 1.0 - float(cover_counts[s]) / max(1, cover_cells)
+            ))
+            covs.append(1.0 - float(cover_counts[s]) / max(1, cover_cells))
         if profile_rules is not None:
             profile_rules.append({
                 "tile": rule.tile.describe(),
                 "pit_axis": rule.pit_axis,
                 "microtile": str(rule.microtile),
                 "eval_us": (time.perf_counter() - t0) * 1e6,
-                "mean_cost_us": float(costs.mean()),
+                "mean_cost_us": _sequential_mean(costs),
             })
         out.append((rule, costs, covs))
     return out
@@ -515,8 +479,12 @@ def nm_kernel_selection(
     num_samples = len(samples)
     best_rule, best_perm_idx, best_cost, best_cov = None, 0, float("inf"), 0.0
     for rule, costs, covs in per_rule:
-        cand_costs = costs.reshape(len(candidates), num_samples).mean(axis=1)
-        cand_covs = covs.reshape(len(candidates), num_samples).mean(axis=1)
+        cand_costs = np.reshape(costs, (len(candidates), num_samples)).mean(
+            axis=1
+        )
+        cand_covs = np.reshape(covs, (len(candidates), num_samples)).mean(
+            axis=1
+        )
         idx = int(np.argmin(cand_costs))
         if cand_costs[idx] < best_cost:
             best_rule = rule
@@ -536,21 +504,10 @@ def nm_kernel_selection(
     winning_perm = candidates[best_perm_idx]
 
     if include_dense_fallback:
-        from .cover import dense_matmul_workload
-
-        dense_entry = tiledb.best_dense_tile(m, k, n)
-        dwl = dense_matmul_workload(m, k, n, dense_entry.tile)
-        dense_cost = sparse_matmul_time_us(
-            dwl.total_k_steps,
-            dwl.num_output_tiles,
-            dense_entry.tile,
-            tiledb.dtype,
-            tiledb.spec,
-            tensor_core=tiledb.tensor_core,
-        )
+        dense_tile, dense_cost = _dense_candidate(m, k, n, tiledb)
         if dense_cost <= best_cost:
             choice_axis, choice_micro = None, None
-            choice_tile, best_cost, best_cov = dense_entry.tile, dense_cost, 0.0
+            choice_tile, best_cost, best_cov = dense_tile, dense_cost, 0.0
             winning_perm = None  # a dense kernel has no channel order
 
     elapsed_us = (time.perf_counter() - start) * 1e6

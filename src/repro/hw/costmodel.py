@@ -253,7 +253,7 @@ def transport_adjusted_finish_us(
     A zero overhead reduces exactly to :func:`predicted_finish_us`, so
     process-pool and threaded reservations agree bit-for-bit by default —
     which is what keeps the cluster replay decision-identical to the
-    simulated scheduler.
+    same replay in one process.
     """
     if transport_overhead_us < 0:
         raise ValueError("transport_overhead_us must be >= 0")

@@ -17,11 +17,11 @@ heartbeat monitor records the failure with the
 respawns the worker, which re-enters placement through the breaker's
 quarantine -> half-open -> healthy ladder.
 
-Virtual-time replay (:func:`cluster_replay_trace`) drives the same
-pipeline synchronously: every dispatch is a blocking round trip, so plan
-deltas land before the next decision and the decision trace — including
-timings under ``charge_selection=False`` — is bit-identical to the
-simulated :class:`~repro.runtime.scheduler.ContinuousScheduler`.
+Virtual-time replay (:func:`cluster_replay_trace`) runs the front end's
+one virtual-time loop (``replay``) over the pool: every dispatch is a
+blocking round trip, so plan deltas land before the next decision and the
+decision trace — including timings under ``charge_selection=False`` — is
+bit-identical to ``engine.run(policy="continuous")`` in one process.
 """
 
 from __future__ import annotations
@@ -418,38 +418,26 @@ def cluster_replay_trace(
 ) -> ServingReport:
     """Serve a trace through the cluster frontend in virtual time.
 
-    The process-pool analogue of
-    :func:`~repro.runtime.frontend.replay_trace`: same virtual clock, same
-    admission pipeline, but every execution is a real round trip into a
-    worker process.  Dispatches are synchronous in virtual time, so each
-    batch's plan delta reaches the whole fleet before the next decision —
-    which is why the decision trace (timings included under
-    ``charge_selection=False``) is bit-identical to the simulated
-    scheduler's on the same trace.
+    The front end's one virtual-time loop
+    (:meth:`~repro.runtime.frontend.AsyncServingFrontend.replay`) with
+    every execution a real round trip into a worker process.  Dispatches
+    are synchronous in virtual time, so each batch's plan delta reaches the
+    whole fleet before the next decision — which is why the decision trace
+    (timings included under ``charge_selection=False``) is bit-identical
+    to ``engine.run(policy="continuous")`` on the same trace.
     """
     if requests is None:
         requests, engine._queue = engine._queue, []
-    clock = VirtualClock()
     frontend = ClusterFrontend(
         engine,
         cluster=cluster,
         max_queue_depth=max_queue_depth,
-        overload="shed",
-        clock=clock,
+        clock=VirtualClock(),
         inline_execution=True,
     )
     frontend.start_workers()
     try:
-        ordered = sorted(requests, key=lambda r: (r.arrival_us, r.request_id))
-        for request in ordered:
-            clock.call_at(request.arrival_us, frontend.ingest, request)
-        last_event_us = 0.0
-        while clock.pending():
-            last_event_us = max(last_event_us, clock.fire_next())
-        frontend.finish(last_event_us)
-        while clock.pending():
-            clock.fire_next()
-        return frontend.report()
+        return frontend.replay(requests)
     finally:
         frontend.shutdown_workers()
 

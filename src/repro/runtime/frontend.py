@@ -1,7 +1,6 @@
-"""Real-concurrency serving: an asyncio front end over the scheduling core.
+"""The serving front end: one driver for live and virtual-time serving.
 
-Everything before this module serves on a simulated clock inside one
-thread.  This is the live path: an asyncio **admission loop** accepts
+On a real clock it is the live path: an asyncio **admission loop** accepts
 streaming :meth:`AsyncServingFrontend.submit` calls (each resolved by a
 future), applies **backpressure / load-shedding** when the in-flight depth
 exceeds the SLO-feasible bound, and **replica workers** pull closed batches
@@ -10,20 +9,20 @@ own model-backend instance, all sharing the engine's one sharded
 :class:`~repro.core.selection.PlanCache`).
 
 The front end makes *no scheduling decisions of its own*: every admission,
-closure and placement goes through the same
-:class:`~repro.runtime.scheduler.SchedulingPolicy` object the simulated
-:class:`~repro.runtime.scheduler.ContinuousScheduler` drives.  The only
-difference between the two paths is the driver — an event heap on a
-simulated clock there, an asyncio loop on a real (or virtual) clock here.
+closure and placement goes through its
+:class:`~repro.runtime.scheduler.SchedulingPolicy`.
 
-**Deterministic replay.**  :func:`replay_trace` drives the front end's
-admission pipeline under a :class:`VirtualClock` with inline execution:
-timers fire in deterministic order, every dispatch executes synchronously
-(so replica ``free_at`` bookkeeping is exact when the next decision reads
-it), and the resulting batch compositions and placements reproduce the
-simulated scheduler's decision-for-decision —
-:func:`decision_trace` extracts the comparable decision sequence from
-either report.  Construct both engines with ``charge_selection=False`` to
+**The one virtual-time loop.**  :meth:`AsyncServingFrontend.replay` serves
+an arrival-stamped trace under a :class:`VirtualClock` with inline
+execution: arrivals become timers, timers fire in deterministic order, and
+every dispatch executes synchronously (so replica ``free_at`` bookkeeping
+is exact when the next decision reads it).  It is the only simulated
+serving loop: ``engine.run(policy="continuous")`` (through
+:class:`~repro.runtime.scheduler.ContinuousScheduler`),
+:func:`replay_trace` and the process-pool
+:func:`~repro.runtime.cluster.cluster_replay_trace` all run it, and
+:func:`decision_trace` extracts the comparable decision sequence from any
+of their reports.  Construct the engine with ``charge_selection=False`` to
 also make the simulated timeline (start/exec times) bit-reproducible:
 measured selection wall time is then reported but kept off the simulated
 schedule.
@@ -56,13 +55,13 @@ class VirtualClock:
     """A deterministic microsecond clock driven explicitly by its owner.
 
     Timers are a heap of ``(when_us, priority, seq, callback, args)``; ties
-    fire in priority order, then scheduling order.  Priorities mirror the
-    simulated event heap's kinds (arrival=0 < deadline=1 < retry=2), so an
-    arrival at time ``t`` beats a window deadline at the same ``t`` and
-    both beat a backoff'd retry — regardless of when each timer was
-    scheduled.  :meth:`fire_next` advances ``now`` to the timer's due time
-    *before* invoking the callback, so code reading :meth:`now_us` inside a
-    callback observes exactly the event time.
+    fire in priority order, then scheduling order.  The front end schedules
+    arrivals at priority 0, window deadlines at 1 and backoff'd retries at
+    2, so an arrival at time ``t`` still rides the batch whose deadline
+    falls at ``t``, and both beat a retry due at ``t`` — regardless of when
+    each timer was scheduled.  :meth:`fire_next` advances ``now`` to the
+    timer's due time *before* invoking the callback, so code reading
+    :meth:`now_us` inside a callback observes exactly the event time.
     """
 
     def __init__(self, start_us: float = 0.0):
@@ -144,16 +143,15 @@ class AsyncServingFrontend:
     backpressure by making :meth:`submit` await capacity.  ``None`` means
     unbounded.
 
-    ``inline_execution=True`` (the deterministic-replay mode used by
-    :func:`replay_trace`) executes each batch synchronously at dispatch
-    instead of handing it to a worker: decisions then interleave with
-    execution accounting exactly as in the simulated single-threaded loop,
-    which is what makes replica ``free_at`` state — and therefore every
-    placement — bit-identical.  The default (worker) mode runs each
-    replica's batches through ``asyncio.to_thread`` on a per-worker model
-    backend, so batches on different replicas genuinely execute
-    concurrently and all plan traffic converges on the shared sharded
-    :class:`~repro.core.selection.PlanCache`.
+    ``inline_execution=True`` (the virtual-time mode :meth:`replay` runs
+    in) executes each batch synchronously at dispatch instead of handing
+    it to a worker: decisions then interleave with execution accounting in
+    one thread, which is what makes replica ``free_at`` state — and
+    therefore every placement — deterministic.  The default (worker) mode
+    runs each replica's batches through ``asyncio.to_thread`` on a
+    per-worker model backend, so batches on different replicas genuinely
+    execute concurrently and all plan traffic converges on the shared
+    sharded :class:`~repro.core.selection.PlanCache`.
     """
 
     def __init__(
@@ -181,13 +179,7 @@ class AsyncServingFrontend:
         self.overload = overload
         self.clock = clock if clock is not None else RealClock()
         self.inline_execution = inline_execution
-        self.policy = SchedulingPolicy(
-            engine,
-            replicas=engine.replicas,
-            batch_window_us=engine.batch_window_us,
-            overlap_selection=engine.overlap_selection,
-            placement=engine.placement,
-        )
+        self.policy = SchedulingPolicy(engine)
         self._report = ServingReport(policy="live")
         self._request_ids = itertools.count()
         self._batch_ids = itertools.count()
@@ -371,6 +363,28 @@ class AsyncServingFrontend:
         for batch in self.policy.flush():
             self._dispatch(batch, now_us)
 
+    def replay(self, requests) -> ServingReport:
+        """Serve arrival-stamped ``requests`` in virtual time; the report.
+
+        The one simulated serving loop.  Needs a :class:`VirtualClock` and
+        inline execution.  Arrivals become timers; timers fire until none
+        is pending; batches still open then (no window, or a window past
+        the last event) close at the last event time; and the retry chains
+        those closes start fire last (each bounded by ``max_retries``).
+        """
+        clock = self.clock
+        for request in sorted(
+            requests, key=lambda r: (r.arrival_us, r.request_id)
+        ):
+            clock.call_at(request.arrival_us, self.ingest, request)
+        last_event_us = 0.0
+        while clock.pending():
+            last_event_us = max(last_event_us, clock.fire_next())
+        self.finish(last_event_us)
+        while clock.pending():
+            clock.fire_next()
+        return self.report()
+
     # ------------------------------------------------------------------
     # Dispatch and execution
     # ------------------------------------------------------------------
@@ -473,11 +487,11 @@ class AsyncServingFrontend:
     def _on_failure(self, item, exc: BaseException) -> None:
         """Resolve a failed attempt: report, retry or give up.
 
-        Shares :func:`~repro.runtime.resilience.resolve_failure` with the
-        simulated scheduler, so the split into terminal reports and a
-        backoff'd retry — and the retry's due time — is identical across
-        both drivers.  The retry timer carries priority 2, mirroring the
-        simulated event heap's retry kind.
+        :func:`~repro.runtime.resilience.resolve_failure` splits the batch
+        into terminal reports and a backoff'd retry, the same way on
+        inline, worker and cluster execution.  The retry timer carries
+        priority 2, so it fires after arrivals and deadlines due at the
+        same time.
         """
         batch, placement, batch_id, attempt = item
         outcome = resolve_failure(
@@ -600,38 +614,20 @@ def replay_trace(
 ) -> ServingReport:
     """Serve a trace through the live front end in virtual time.
 
-    The deterministic-replay equivalence harness: arrivals become virtual
-    timers, the front end's own admission/shed/dispatch pipeline runs them
-    through the shared :class:`~repro.runtime.scheduler.SchedulingPolicy`,
-    and execution is inline so accounting interleaves with decisions
-    exactly as in the simulated loop.  ``requests`` defaults to the
-    engine's queued submissions (like ``engine.run()``, the queue is
-    consumed).  The returned report's batch compositions and placements
-    match ``engine.run(policy="continuous")`` on the same trace
-    decision-for-decision — compare with :func:`decision_trace`.
+    Runs :meth:`AsyncServingFrontend.replay` — the loop
+    ``engine.run(policy="continuous")`` runs too — with the front end's own
+    admission and shed bound.  ``requests`` defaults to the engine's queued
+    submissions (like ``engine.run()``, the queue is consumed).
     """
     if requests is None:
         requests, engine._queue = engine._queue, []
-    clock = VirtualClock()
     frontend = AsyncServingFrontend(
         engine,
         max_queue_depth=max_queue_depth,
-        overload="shed",
-        clock=clock,
+        clock=VirtualClock(),
         inline_execution=True,
     )
-    ordered = sorted(requests, key=lambda r: (r.arrival_us, r.request_id))
-    for request in ordered:
-        clock.call_at(request.arrival_us, frontend.ingest, request)
-    last_event_us = 0.0
-    while clock.pending():
-        last_event_us = max(last_event_us, clock.fire_next())
-    frontend.finish(last_event_us)
-    # Flush-time dispatches may fail and schedule backoff'd retries; keep
-    # firing until the chains land (statically bounded by max_retries).
-    while clock.pending():
-        clock.fire_next()
-    return frontend.report()
+    return frontend.replay(requests)
 
 
 def decision_trace(report: ServingReport, *, include_timing: bool = False) -> list:

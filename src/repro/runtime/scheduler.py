@@ -53,44 +53,34 @@ Execution time stays the analytical device model's simulated latency and
 selection overhead stays measured wall time, exactly as in
 :mod:`~repro.runtime.serving`.
 
-**Two drivers, one policy.**  All admission, closure and placement
-decisions live in :class:`SchedulingPolicy`, a clock-agnostic core that
-never looks at a clock or an event queue: drivers feed it arrivals and
-deadline firings and it answers with batch closures and placements.
-:class:`ContinuousScheduler` drives the policy from a simulated-clock
-event heap; :class:`~repro.runtime.frontend.AsyncServingFrontend` drives
-the *same* policy object from an asyncio loop under a real (or virtual)
-clock.  Both paths therefore make identical decisions on identical
-arrival sequences — the equivalence the deterministic-replay harness
-(:func:`~repro.runtime.frontend.replay_trace`) proves decision-for-
-decision.
+**One loop, one policy.**  All admission, closure and placement decisions
+live in :class:`SchedulingPolicy`, a clock-agnostic core that never looks
+at a clock or an event queue: a driver feeds it arrivals and deadline
+firings and it answers with batch closures and placements.  There is one
+driver, :class:`~repro.runtime.frontend.AsyncServingFrontend`, on a real
+clock for live serving and on a
+:class:`~repro.runtime.frontend.VirtualClock` for simulated serving
+(:meth:`~repro.runtime.frontend.AsyncServingFrontend.replay`).
+:class:`ContinuousScheduler` (``engine.run(policy="continuous")``),
+:func:`~repro.runtime.frontend.replay_trace` and
+:func:`~repro.runtime.cluster.cluster_replay_trace` all run that one
+virtual-time loop.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..hw.costmodel import health_adjusted_finish_us, predicted_finish_us
-from .resilience import HealthTracker, InjectedFault, resolve_failure
+from ..hw.costmodel import health_adjusted_finish_us
+from .resilience import HealthTracker
 from .serving import (
     ReplicaStats,
     ServingReport,
     SpeculativeSelection,
     merge_workloads,
 )
-
-#: Event kinds, ordered so that an arrival at time ``t`` is processed before
-#: a window deadline at the same ``t`` — a request arriving exactly on the
-#: deadline still rides the batch it was aimed at — and both before a
-#: backoff'd retry at the same ``t`` (retries are always scheduled after the
-#: deadline of any batch open at that time, so kind order equals scheduling
-#: order; the virtual clock mirrors this with timer priorities).
-_ARRIVE = 0
-_DEADLINE = 1
-_RETRY = 2
 
 
 @dataclass
@@ -137,11 +127,11 @@ class Placement:
 
 
 class SchedulingPolicy:
-    """The admission/close/placement core shared by both serving drivers.
+    """The admission/close/placement core every serving path drives.
 
     Holds every piece of scheduler state that decisions depend on — open
     batches per signature, the monotone batch tokens, and the replica
-    schedules — but owns no clock and no event queue.  Drivers call:
+    schedules — but owns no clock and no event queue.  The front end calls:
 
     * :meth:`admit` for each arrival, passing ``dispatch`` (called with
       every batch the arrival closes) and ``schedule_deadline`` (called
@@ -150,30 +140,21 @@ class SchedulingPolicy:
     * :meth:`flush` at end of stream;
     * :meth:`place` / :meth:`account` around executing a closed batch.
 
-    Because the policy is deterministic in its inputs, any two drivers that
+    Because the policy is deterministic in its inputs, any two runs that
     feed it the same arrival/deadline sequence obtain the same batch
-    compositions and the same placements — the property the deterministic-
-    replay equivalence harness gates on.
+    compositions and the same placements — the property the golden
+    decision traces gate on.
     """
 
-    def __init__(
-        self,
-        engine,
-        *,
-        replicas: int = 1,
-        batch_window_us: Optional[float] = 2000.0,
-        overlap_selection: bool = True,
-        placement: str = "cost-aware",
-    ):
-        self.validate(replicas, batch_window_us, placement)
+    def __init__(self, engine):
+        # The engine validated its serving settings; the policy reads them.
         self.engine = engine
-        self.num_replicas = replicas
-        self.batch_window_us = batch_window_us
-        self.overlap_selection = overlap_selection
-        self.placement = placement
+        self.batch_window_us = engine.batch_window_us
+        self.overlap_selection = engine.overlap_selection
+        self.placement = engine.placement
         self.replicas = [
             _Replica(i, device=engine.device_for_replica(i))
-            for i in range(replicas)
+            for i in range(engine.replicas)
         ]
         self._open: dict = {}
         self._tokens = itertools.count()
@@ -183,24 +164,13 @@ class SchedulingPolicy:
         self.resilience = getattr(engine, "resilience", None)
         self.health = (
             HealthTracker(
-                replicas,
+                engine.replicas,
                 self.resilience,
                 injector=getattr(engine, "fault_injector", None),
             )
             if self.resilience is not None
             else None
         )
-
-    @staticmethod
-    def validate(replicas, batch_window_us, placement) -> None:
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if batch_window_us is not None and batch_window_us < 0:
-            raise ValueError("batch_window_us must be >= 0 (or None)")
-        if placement not in ("cost-aware", "least-loaded"):
-            raise ValueError(
-                f"placement must be cost-aware|least-loaded, got {placement!r}"
-            )
 
     # ------------------------------------------------------------------
     # Admission and closure
@@ -218,9 +188,9 @@ class SchedulingPolicy:
         this arrival closes — before any further policy state is touched —
         so dispatch-order side effects (replica ``free_at`` updates, plan
         cache warming) are observed by the very next decision, exactly as
-        in the single-threaded simulated loop.  ``schedule_deadline(
+        in the single-threaded virtual-time loop.  ``schedule_deadline(
         deadline_us, signature, token)`` is invoked when a fresh batch
-        opens under a batching window; the driver must eventually call
+        opens under a batching window; the caller must eventually call
         :meth:`close_due` with that (signature, token).
         """
         signature = request.batch_signature(self.engine.plan_cache.quantum)
@@ -302,6 +272,13 @@ class SchedulingPolicy:
     # ------------------------------------------------------------------
     # Placement and accounting
     # ------------------------------------------------------------------
+    def _penalty_us(self, replica_id: int, now_us: float) -> float:
+        """The replica's health placement penalty (zero without tracking:
+        ``x + 0.0 == x``, so untracked placement is the plain objective)."""
+        if self.health is None:
+            return 0.0
+        return self.health.placement_penalty_us(replica_id, now_us)
+
     def _placeable_replicas(self, now_us: float, exclude: tuple) -> list:
         """Replicas eligible for a placement at ``now_us``.
 
@@ -312,36 +289,24 @@ class SchedulingPolicy:
         whatever is open, and an all-down fleet places anyway (the attempt
         fails fast and retries — placement must never deadlock).
         """
-        if self.health is None:
-            if exclude:
-                kept = [
-                    r for r in self.replicas if r.replica_id not in exclude
-                ]
-                return kept if kept else list(self.replicas)
-            return self.replicas
         open_replicas = [
             r
             for r in self.replicas
-            if self.health.placement_penalty_us(r.replica_id, now_us)
-            != float("inf")
+            if self._penalty_us(r.replica_id, now_us) != float("inf")
         ]
         preferred = [
             r for r in open_replicas if r.replica_id not in exclude
         ]
-        if preferred:
-            return preferred
-        if open_replicas:
-            return open_replicas
-        return list(self.replicas)
+        return preferred or open_replicas or list(self.replicas)
 
     def select_replica(self, signature, workload, close_us: float,
                        memoize: bool = True, exclude: tuple = ()) -> _Replica:
         """Pick the replica for a ``signature`` batch closing at ``close_us``.
 
         Cost-aware placement minimizes the predicted finish time
-        ``max(close_us, free_at_us) + est_exec_us`` with the batch priced
-        on each replica's device class
-        (:meth:`~repro.runtime.serving.ServingEngine.estimate_exec_us`,
+        ``max(close_us, free_at_us) + est_exec_us`` (plus the replica's
+        health penalty) with the batch priced on each replica's device
+        class (:meth:`~repro.runtime.serving.ServingEngine.estimate_exec_us`,
         memoized per (signature, class) — only from dispatch-time merged
         workloads, so the batch-open prediction passes ``memoize=False``).
         Ties break toward the replica that frees earliest, then the lowest
@@ -360,17 +325,10 @@ class SchedulingPolicy:
             # change the decision — so homogeneous lineups skip the
             # simulated pricing runs entirely.  A finite health penalty
             # (suspect/probing replicas) still reorders: healthy peers win.
-            if self.health is None:
-                return min(
-                    replicas, key=lambda r: (r.free_at_us, r.replica_id)
-                )
             return min(
                 replicas,
                 key=lambda r: (
-                    r.free_at_us
-                    + self.health.placement_penalty_us(
-                        r.replica_id, close_us
-                    ),
+                    r.free_at_us + self._penalty_us(r.replica_id, close_us),
                     r.free_at_us,
                     r.replica_id,
                 ),
@@ -384,17 +342,6 @@ class SchedulingPolicy:
                 est_by_class[r.device.spec] = self.engine.estimate_exec_us(
                     signature, workload, r.device, memoize=memoize
                 )
-        if self.health is None:
-            return min(
-                replicas,
-                key=lambda r: (
-                    predicted_finish_us(
-                        close_us, r.free_at_us, est_by_class[r.device.spec]
-                    ),
-                    r.free_at_us,
-                    r.replica_id,
-                ),
-            )
         return min(
             replicas,
             key=lambda r: (
@@ -402,7 +349,7 @@ class SchedulingPolicy:
                     close_us,
                     r.free_at_us,
                     est_by_class[r.device.spec],
-                    self.health.placement_penalty_us(r.replica_id, close_us),
+                    self._penalty_us(r.replica_id, close_us),
                 ),
                 r.free_at_us,
                 r.replica_id,
@@ -449,7 +396,7 @@ class SchedulingPolicy:
                 signature=None) -> None:
         """Fold one executed batch back into its replica's schedule.
 
-        ``free_at`` is max-assigned: in the simulated loop the batch's
+        ``free_at`` is max-assigned: in the virtual-time loop the batch's
         finish always exceeds the replica's previous ``free_at`` (a batch
         starts no earlier than the replica frees), so this is exactly the
         legacy assignment there — but the live front end may have *reserved*
@@ -521,166 +468,31 @@ class SchedulingPolicy:
 class ContinuousScheduler:
     """Event-driven continuous batching across N device replicas.
 
-    Drives a fresh :class:`SchedulingPolicy` through a simulated-clock
-    event heap.  The policy owns batching (admission + closure) and
-    placement; planning and execution stay on the engine
-    (:meth:`ServingEngine.execute_batch`), so every replica resolves
-    kernel plans through the engine's one
-    :class:`~repro.core.selection.PlanCache`.  Replica ``i`` executes on
-    ``engine.device_for_replica(i)`` — a heterogeneous lineup
-    (``ServingEngine(replica_specs=[...])``) places batches cost-aware by
-    predicted finish time; ``placement="least-loaded"`` forces the legacy
-    earliest-free policy.
-
+    ``engine.run(policy="continuous")`` serves through this class: it runs
+    the engine's queued, arrival-stamped requests through the front end's
+    one virtual-time loop
+    (:meth:`~repro.runtime.frontend.AsyncServingFrontend.replay`) with
+    inline execution, so every batch executes at dispatch and the next
+    decision reads exact replica state.  Batching, placement and the
+    serving settings (replicas, batching window, overlap, placement mode)
+    all come from the engine; a heterogeneous lineup
+    (``ServingEngine(replica_specs=[...])``) places cost-aware by predicted
+    finish time and ``placement="least-loaded"`` forces earliest-free.
     ``batch_window_us=None`` disables the deadline entirely: batches close
-    only on budget overflow or end of stream (maximum co-batching, worst
-    queueing delay — the drain policy's admission behaviour with continuous
-    placement).
+    only on budget overflow or end of stream.
     """
 
-    def __init__(
-        self,
-        engine,
-        *,
-        replicas: int = 1,
-        batch_window_us: Optional[float] = 2000.0,
-        overlap_selection: bool = True,
-        placement: str = "cost-aware",
-    ):
-        SchedulingPolicy.validate(replicas, batch_window_us, placement)
+    def __init__(self, engine):
         self.engine = engine
-        self.num_replicas = replicas
-        self.batch_window_us = batch_window_us
-        self.overlap_selection = overlap_selection
-        self.placement = placement
 
-    # ------------------------------------------------------------------
-    # The event loop
-    # ------------------------------------------------------------------
     def run(self, requests) -> ServingReport:
         """Serve ``requests`` (arrival-stamped) and return the report."""
-        report = ServingReport(policy="continuous")
-        policy = SchedulingPolicy(
-            self.engine,
-            replicas=self.num_replicas,
-            batch_window_us=self.batch_window_us,
-            overlap_selection=self.overlap_selection,
-            placement=self.placement,
+        # frontend.py imports this module, so the import waits until here.
+        from .frontend import AsyncServingFrontend, VirtualClock
+
+        frontend = AsyncServingFrontend(
+            self.engine, clock=VirtualClock(), inline_execution=True
         )
-        seq = itertools.count()
-        # Batch ids are assigned at first dispatch from an explicit counter
-        # (not `len(report.batches)`): a failed attempt appends no batch
-        # report, yet its id must stay claimed so retried batches keep the
-        # same ids the live front end's dispatch-time counter assigns.
-        batch_ids = itertools.count()
-        events: list = []
-        for r in sorted(requests, key=lambda r: (r.arrival_us, r.request_id)):
-            heapq.heappush(events, (r.arrival_us, _ARRIVE, next(seq), r))
-
-        def dispatch(batch, close_us):
-            placement = policy.place(batch, close_us)
-            self._attempt(
-                policy, batch, placement, next(batch_ids), report, 0,
-                schedule_retry,
-            )
-
-        def schedule_deadline(deadline_us, signature, token):
-            heapq.heappush(
-                events, (deadline_us, _DEADLINE, next(seq), (signature, token))
-            )
-
-        def schedule_retry(retry_at_us, payload):
-            heapq.heappush(events, (retry_at_us, _RETRY, next(seq), payload))
-
-        last_event_us = 0.0
-
-        def drain_events():
-            nonlocal last_event_us
-            while events:
-                now, kind, _, payload = heapq.heappop(events)
-                last_event_us = max(last_event_us, now)
-                if kind == _ARRIVE:
-                    policy.admit(payload, now, dispatch, schedule_deadline)
-                elif kind == _DEADLINE:
-                    batch = policy.close_due(*payload)
-                    if batch is not None:
-                        dispatch(batch, now)
-                else:
-                    batch, batch_id, attempt, exclude = payload
-                    placement = policy.place(batch, now, exclude=exclude)
-                    if placement.replica.replica_id not in exclude:
-                        report.failovers += 1
-                    self._attempt(
-                        policy, batch, placement, batch_id, report, attempt,
-                        schedule_retry,
-                    )
-
-        drain_events()
-        # With no window, batches whose budget never overflowed are still
-        # open when the stream ends; close them at the last event (there is
-        # nothing left to wait for).
-        for batch in policy.flush():
-            dispatch(batch, last_event_us)
-        # Flush-time dispatches can fail and schedule retries past the last
-        # arrival; drain again until the chains settle (each is statically
-        # bounded by max_retries).
-        drain_events()
-
-        report.requests.sort(key=lambda r: r.request_id)
-        first_start = min((b.start_us for b in report.batches), default=0.0)
-        last_end = max(
-            (b.start_us + b.exec_us for b in report.batches), default=0.0
-        )
-        report.makespan_us = last_end - first_start
-        report.replica_stats.extend(policy.replica_stats(report.makespan_us))
-        report.plan_cache_stats = self.engine.plan_cache.stats()
-        if policy.health is not None:
-            report.health_timeline = policy.health.timeline()
+        report = frontend.replay(requests)
+        report.policy = "continuous"
         return report
-
-    def _attempt(self, policy: SchedulingPolicy, batch: _OpenBatch,
-                 placement: Placement, batch_id: int, report: ServingReport,
-                 attempt: int, schedule_retry: Callable) -> None:
-        """Execute one placed attempt of a batch; route failures to retry.
-
-        Injected faults are the only failures the simulated path handles —
-        execution here is the analytical model, so any other exception is a
-        bug and propagates (the live path, whose workers genuinely crash,
-        additionally routes real exceptions through the same logic).
-        """
-        try:
-            batch_report, request_reports = self.engine.execute_batch(
-                batch.requests,
-                batch_id=batch_id,
-                start_us=placement.start_us,
-                replica_id=placement.replica.replica_id,
-                speculation=batch.speculation,
-                device=placement.replica.device,
-                workload=placement.workload,
-                attempt=attempt,
-            )
-        except InjectedFault as exc:
-            outcome = resolve_failure(
-                self.engine.resilience, policy.health, batch.requests,
-                placement, batch_id, attempt, exc,
-            )
-            policy.account_failure(placement, outcome.detect_us)
-            report.requests.extend(outcome.failed_reports)
-            report.requests.extend(outcome.expired_reports)
-            if outcome.retry_requests:
-                report.retries += 1
-                retry = _OpenBatch(
-                    signature=batch.signature,
-                    opened_us=batch.opened_us,
-                    token=batch.token,
-                    requests=outcome.retry_requests,
-                )
-                schedule_retry(
-                    outcome.retry_at_us,
-                    (retry, batch_id, attempt + 1, (outcome.failed_replica,)),
-                )
-            return
-        batch_report.overlap_saved_us = placement.saved_us
-        policy.account(placement, batch_report, signature=batch.signature)
-        report.batches.append(batch_report)
-        report.requests.extend(request_reports)

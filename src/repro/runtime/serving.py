@@ -1254,25 +1254,18 @@ class ServingEngine:
 
         ``policy="drain"`` is the PR-1 compatibility path: batch the whole
         queue FCFS up front and execute serially on one replica.
-        ``policy="continuous"`` delegates batching and placement to the
-        event-driven :class:`~repro.runtime.scheduler.ContinuousScheduler`
-        (open batches admit arrivals until a budget or the batching window
-        closes them; closed batches place across ``self.replicas`` replicas
-        — cost-aware by predicted finish time, or least-loaded with
-        ``placement="least-loaded"``).
+        ``policy="continuous"`` serves through
+        :class:`~repro.runtime.scheduler.ContinuousScheduler` — the front
+        end's virtual-time loop (open batches admit arrivals until a budget
+        or the batching window closes them; closed batches place across
+        ``self.replicas`` replicas — cost-aware by predicted finish time,
+        or least-loaded with ``placement="least-loaded"``).
         """
         if policy == "continuous":
             from .scheduler import ContinuousScheduler
 
             requests, self._queue = self._queue, []
-            scheduler = ContinuousScheduler(
-                self,
-                replicas=self.replicas,
-                batch_window_us=self.batch_window_us,
-                overlap_selection=self.overlap_selection,
-                placement=self.placement,
-            )
-            return scheduler.run(requests)
+            return ContinuousScheduler(self).run(requests)
         if policy != "drain":
             raise ValueError(
                 f"policy must be drain|continuous, got {policy!r}"

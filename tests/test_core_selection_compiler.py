@@ -192,6 +192,71 @@ class TestFastpathEquivalence:
         assert min(r["mean_cost_us"] for r in profile["rules"]) > 0
 
 
+#: Seeded selection sweep: (operand, m, k, n, granularity, sparsity,
+#: samples, seed).  A ``None`` granularity is an all-dense mask.
+SELECTION_SWEEP = (
+    ("A", 256, 512, 384, (1, 1), 0.99, 1, 0),
+    ("A", 256, 512, 384, (8, 1), 0.95, 3, 10),
+    ("A", 256, 512, 384, (8, 1), 0.97, 8, 20),
+    ("A", 256, 512, 384, (1, 1), 0.99, 9, 30),
+    ("A", 256, 512, 384, (1, 8), 0.97, 9, 30),
+    ("B", 384, 512, 256, (1, 1), 0.99, 9, 40),
+    ("B", 512, 512, 256, (1, 4), 0.99, 9, 40),
+    ("A", 256, 256, 256, None, 0.0, 1, 0),
+    ("nm", 128, 256, 128, (1, 1), 0.5, 3, 50),
+)
+
+#: ``(tile (tm, tk, tn), pit_axis, micro-tile shape, est_cost_us,
+#: covered_sparsity)`` per sweep entry, captured at commit 2845d96 (before
+#: the averaged and per-sample rule evaluators were merged).
+PINNED_CHOICES = (
+    ((32, 8, 128), "m", (1, 8), 13.738217076023393, 0.9208984375),
+    ((32, 16, 128), "k", (32, 1), 14.212216296296296, 0.8157552083333334),
+    ((32, 8, 128), "k", (32, 1), 13.730670877192985, 0.8804931640625),
+    ((32, 8, 128), "m", (1, 8), 13.737810578297594, 0.9235500759548612),
+    ((32, 8, 128), "m", (1, 8), 13.730717141000648, 0.9698215060763888),
+    ((128, 8, 32), "n", (8, 1), 13.737826172839508, 0.9233194986979166),
+    ((128, 8, 32), "k", (1, 32), 13.622597063027943, 0.7245008680555556),
+    ((32, 64, 64), None, None, 10.347244444444446, 0.0),
+    ((32, 64, 64), None, None, 8.162711111111111, 0.0),
+)
+
+
+def _sweep_choice(tiledb, operand, m, k, n, granularity, sparsity,
+                  samples, seed):
+    rows, cols = (m, k) if operand == "A" else (k, n)
+    masks = [
+        np.ones((rows, cols), dtype=bool) if granularity is None
+        else granular_mask((rows, cols), granularity, sparsity, seed=seed + s)
+        for s in range(samples)
+    ]
+    if operand == "nm":
+        from repro.core import nm_kernel_selection
+
+        return nm_kernel_selection(
+            masks, m, k, n, tiledb, pattern=(2, 4)
+        ).choice
+    return kernel_selection(masks, m, k, n, tiledb, sparse_operand=operand)
+
+
+class TestKernelChoicePinned:
+    """Every ``KernelChoice`` on the sweep is bit-identical to the pinned
+    values: the same winner and the same float bits in cost and coverage
+    (the 8- and 9-sample entries catch a mean that sums pairwise)."""
+
+    @pytest.mark.parametrize("case", range(len(SELECTION_SWEEP)))
+    def test_bit_identical_to_pinned(self, tiledb, case):
+        choice = _sweep_choice(tiledb, *SELECTION_SWEEP[case])
+        tile = choice.tile
+        assert (
+            (tile.tm, tile.tk, tile.tn),
+            choice.pit_axis,
+            choice.microtile.shape if choice.microtile is not None else None,
+            choice.est_cost_us,
+            choice.covered_sparsity,
+        ) == PINNED_CHOICES[case]
+
+
 class TestSignatureSinglePass:
     def test_matches_three_pass_reference(self):
         """The fused per-sample reduction must reproduce the original

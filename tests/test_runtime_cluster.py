@@ -9,8 +9,9 @@ Five properties carry the cluster subsystem:
   decisions are identical across processes with different
   ``PYTHONHASHSEED`` values, and forked children get fresh shared
   registries instead of aliasing the parent's.
-* **Decision equivalence** — ``cluster_replay_trace`` over real worker
-  processes reproduces the simulated scheduler's decision trace,
+* **Decision equivalence** — ``cluster_replay_trace`` over two real
+  worker processes reproduces the golden decision traces the event-heap
+  scheduler recorded at commit 2845d96 (``fixtures/serving/cluster_*``),
   timings included, over seeds and heterogeneous lineups.
 * **Single-flight plan sync** — N workers pay the cold-search bill of
   one process; deltas keep every replica warm.
@@ -50,7 +51,6 @@ from repro.runtime import (
     ServingEngine,
     WorkerLostError,
     cluster_replay_trace,
-    decision_trace,
     serve_cluster,
 )
 from repro.runtime.cluster.codec import (
@@ -68,6 +68,7 @@ from repro.runtime.resilience import (
     QUARANTINED,
     WorkerCrashFault,
 )
+from serving_goldens import load_golden, outcome
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -378,7 +379,7 @@ class TestCrossProcessDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Decision equivalence: worker processes vs the simulated scheduler
+# Decision equivalence: worker processes vs the golden decisions
 # ----------------------------------------------------------------------
 LINEUPS = {
     "homogeneous": None,
@@ -386,25 +387,29 @@ LINEUPS = {
 }
 
 
+def assert_matches_golden(report, case):
+    """Everything the host decides matches the golden; plan-cache counters
+    are left out, since the workers' caches resolve the plans."""
+    golden = load_golden(case)
+    got = outcome(report)
+    del golden["plan_cache"], got["plan_cache"]
+    assert got == golden
+
+
 class TestClusterReplayEquivalence:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("lineup", sorted(LINEUPS), ids=str)
     def test_decision_identical_to_simulated_scheduler(self, seed, lineup):
+        """Two worker processes reproduce the golden the event-heap
+        scheduler recorded for this trace at commit 2845d96."""
         kwargs = {}
         if LINEUPS[lineup] is not None:
             kwargs["replica_specs"] = LINEUPS[lineup]
-        sim = make_engine(**kwargs)
-        mixed_trace(sim, n=6, interarrival_us=300.0 + 100.0 * seed)
-        sim_report = sim.run(policy="continuous")
-
         clu = make_engine(**kwargs)
         mixed_trace(clu, n=6, interarrival_us=300.0 + 100.0 * seed)
-        clu_report = cluster_replay_trace(clu)
-
-        assert decision_trace(clu_report, include_timing=True) == (
-            decision_trace(sim_report, include_timing=True)
+        assert_matches_golden(
+            cluster_replay_trace(clu), f"cluster_{lineup}_seed{seed}"
         )
-        assert clu_report.makespan_us == sim_report.makespan_us
 
     def test_decision_identical_under_fault_injection(self):
         resilience = ResilienceConfig(
@@ -416,20 +421,11 @@ class TestClusterReplayEquivalence:
             ),
             max_retries=3,
         )
-        sim = make_engine(resilience=resilience)
-        mixed_trace(sim, n=8)
-        sim_report = sim.run(policy="continuous")
-
         clu = make_engine(resilience=resilience)
         mixed_trace(clu, n=8)
         clu_report = cluster_replay_trace(clu)
-
-        assert decision_trace(clu_report, include_timing=True) == (
-            decision_trace(sim_report, include_timing=True)
-        )
-        assert clu_report.retries == sim_report.retries
-        assert clu_report.failovers == sim_report.failovers
-        assert sim_report.retries > 0, "seed 1234 should exercise retries"
+        assert_matches_golden(clu_report, "cluster_faults")
+        assert clu_report.retries > 0, "seed 1234 should exercise retries"
 
     def test_cold_searches_bounded_by_single_process_count(self):
         sim = make_engine(replicas=1)

@@ -2,11 +2,11 @@
 
 Three properties carry the real-concurrency refactor:
 
-* **Equivalence** — the front end drives the same
-  :class:`~repro.runtime.scheduler.SchedulingPolicy` as the simulated
-  :class:`ContinuousScheduler`, so a seeded trace replayed in virtual time
-  reproduces the simulated run's batch compositions and placements
-  decision-for-decision.
+* **Golden decisions** — ``engine.run(policy="continuous")`` and
+  :func:`replay_trace` run the front end's one virtual-time loop, and both
+  reproduce the batch compositions, placements and timings the event-heap
+  ``ContinuousScheduler`` recorded at commit 2845d96
+  (``fixtures/serving/*.json``, see ``serving_goldens``).
 * **Backpressure** — over the queue-depth bound, shed requests are
   reported (never silently dropped) and block mode bounds in-flight depth
   without losing requests.
@@ -24,14 +24,13 @@ from repro.models import bert_workload, longformer_workload, switch_workload
 from repro.models.workloads import opt_inference_workload
 from repro.runtime import (
     AsyncServingFrontend,
-    ContinuousScheduler,
     ServingEngine,
     VirtualClock,
-    decision_trace,
     make_live_frontend,
     replay_trace,
     serve_workloads,
 )
+from serving_goldens import compositions, load_golden, outcome
 
 
 def make_engine(**kwargs):
@@ -64,38 +63,36 @@ def mixed_trace(engine, n=16, interarrival_us=400.0, seed_base=0):
     return engine.submit_many(workloads, interarrival_us=interarrival_us)
 
 
-def simulated_and_replayed(engine_kwargs, trace_kwargs):
-    sim_engine = make_engine(**engine_kwargs)
-    mixed_trace(sim_engine, **trace_kwargs)
-    simulated = sim_engine.run(policy="continuous")
+def run_and_replayed(engine_kwargs, trace_kwargs):
+    """One trace served by ``engine.run(policy="continuous")`` and by
+    :func:`replay_trace`, each on a fresh engine."""
+    run_engine = make_engine(**engine_kwargs)
+    mixed_trace(run_engine, **trace_kwargs)
+    ran = run_engine.run(policy="continuous")
 
-    live_engine = make_engine(**engine_kwargs)
-    requests = mixed_trace(live_engine, **trace_kwargs)
-    replayed = replay_trace(live_engine, requests)
-    return simulated, replayed
+    replay_engine = make_engine(**engine_kwargs)
+    requests = mixed_trace(replay_engine, **trace_kwargs)
+    replayed = replay_trace(replay_engine, requests)
+    return ran, replayed
 
 
 class TestReplayEquivalence:
     def test_homogeneous_trace_is_decision_identical(self):
-        simulated, replayed = simulated_and_replayed({}, {})
-        assert decision_trace(replayed, include_timing=True) == decision_trace(
-            simulated, include_timing=True
-        )
+        golden = load_golden("homogeneous")
+        ran, replayed = run_and_replayed({}, {})
+        assert outcome(ran) == golden
+        assert outcome(replayed) == golden
+        assert ran.policy == "continuous"
         assert replayed.policy == "live"
 
     def test_equivalence_includes_plan_cache_traffic(self):
-        """Zero extra cold searches: the replay's plan-cache misses equal
-        the simulated run's exactly (the batch-level hit/miss counts are
-        already compared by decision_trace)."""
-        simulated, replayed = simulated_and_replayed({}, {})
-        assert (
-            replayed.plan_cache_stats["misses"]
-            == simulated.plan_cache_stats["misses"]
-        )
-        assert (
-            replayed.plan_cache_stats["hits"]
-            == simulated.plan_cache_stats["hits"]
-        )
+        """Zero extra cold searches: both runs' plan-cache hits and misses
+        equal the golden's exactly (the batch-level hit/miss counts are
+        already part of the decision trace)."""
+        golden = load_golden("homogeneous")["plan_cache"]
+        for report in run_and_replayed({}, {}):
+            assert report.plan_cache_stats["misses"] == golden["misses"]
+            assert report.plan_cache_stats["hits"] == golden["hits"]
 
     def test_heterogeneous_cost_aware_with_overlap(self):
         """Mixed device classes with speculative selection on: placements
@@ -106,17 +103,22 @@ class TestReplayEquivalence:
             replicas=1,
             overlap_selection=True,
         )
-        simulated, replayed = simulated_and_replayed(kwargs, {})
-        assert decision_trace(replayed, include_timing=True) == decision_trace(
-            simulated, include_timing=True
-        )
+        golden = load_golden("heterogeneous_overlap")
+        for report in run_and_replayed(kwargs, {}):
+            assert outcome(report) == golden
 
     @pytest.mark.parametrize("seed_base", [0, 100, 1000])
     def test_seeded_traces_property(self, seed_base):
         """The equivalence is a property over traces, not one example."""
         trace_kwargs = dict(n=12, interarrival_us=700.0, seed_base=seed_base)
-        simulated, replayed = simulated_and_replayed({}, trace_kwargs)
-        assert decision_trace(replayed) == decision_trace(simulated)
+        golden = load_golden(f"seeded_{seed_base}")
+        for report in run_and_replayed({}, trace_kwargs):
+            assert outcome(report) == golden
+
+    def test_no_window_closes_at_end_of_stream(self):
+        golden = load_golden("no_window")
+        for report in run_and_replayed(dict(batch_window_us=None), {}):
+            assert outcome(report) == golden
 
     def test_compositions_match_under_default_accounting(self):
         """With charge_selection=True (the legacy accounting), measured
@@ -124,10 +126,9 @@ class TestReplayEquivalence:
         admission decisions depend only on arrivals/budgets/windows — batch
         compositions still match."""
         kwargs = dict(charge_selection=True, replicas=1)
-        simulated, replayed = simulated_and_replayed(kwargs, {})
-        sim_batches = [tuple(b["requests"]) for b in decision_trace(simulated)]
-        live_batches = [tuple(b["requests"]) for b in decision_trace(replayed)]
-        assert live_batches == sim_batches
+        golden = load_golden("default_accounting")["compositions"]
+        for report in run_and_replayed(kwargs, {}):
+            assert compositions(report) == golden
 
     def test_replay_consumes_engine_queue_like_run(self):
         engine = make_engine()
@@ -137,16 +138,13 @@ class TestReplayEquivalence:
         assert engine.pending() == 0
 
     def test_replica_stats_match_simulated(self):
-        simulated, replayed = simulated_and_replayed({}, {})
-        sim_stats = [
-            (r.replica_id, r.device, r.batches, r.tokens)
-            for r in simulated.replica_stats
-        ]
-        live_stats = [
-            (r.replica_id, r.device, r.batches, r.tokens)
-            for r in replayed.replica_stats
-        ]
-        assert live_stats == sim_stats
+        golden = load_golden("homogeneous")["replica_stats"]
+        for report in run_and_replayed({}, {}):
+            stats = [
+                [r.replica_id, r.device, r.batches, r.tokens]
+                for r in report.replica_stats
+            ]
+            assert stats == golden
 
 
 class TestVirtualClock:

@@ -11,8 +11,11 @@ Four properties carry the resilience layer:
 * **Circuit breaking** — repeated failures quarantine a replica, a
   half-open probe re-admits it, and placement prices suspect replicas
   worse without abandoning a degraded fleet.
-* **Equivalence** — the simulated scheduler and the virtual-clock replay
-  make identical decisions under identical injection seeds.
+* **Golden decisions** — ``engine.run(policy="continuous")`` and
+  ``replay_trace`` reproduce, under one injection seed, the decisions,
+  retries, failovers and health timeline the event-heap
+  ``ContinuousScheduler`` recorded at commit 2845d96
+  (``fixtures/serving/chaos_*.json``, see ``serving_goldens``).
 """
 
 import pytest
@@ -40,6 +43,7 @@ from repro.runtime.resilience import (
     TransientExecFault,
     WorkerCrashFault,
 )
+from serving_goldens import load_golden, outcome
 
 
 def make_engine(**kwargs):
@@ -388,6 +392,19 @@ class TestDegradedPlanning:
         assert not any(isinstance(value, KernelChoice) for value in cached)
 
 
+def run_and_replayed(resilience):
+    """The chaos trace served by ``engine.run(policy="continuous")`` and by
+    ``replay_trace``, each on a fresh engine."""
+    run_engine = make_engine(resilience=resilience)
+    mixed_trace(run_engine)
+    replay_engine = make_engine(resilience=resilience)
+    requests = mixed_trace(replay_engine)
+    return (
+        run_engine.run(policy="continuous"),
+        replay_trace(replay_engine, requests),
+    )
+
+
 class TestChaosEquivalence:
     @pytest.mark.parametrize("seed", [1234, 777])
     def test_sim_and_replay_decide_identically_under_faults(self, seed):
@@ -402,35 +419,16 @@ class TestChaosEquivalence:
             max_retries=3,
             default_deadline_us=200000.0,
         )
-        sim_engine = make_engine(resilience=resilience)
-        mixed_trace(sim_engine)
-        simulated = sim_engine.run(policy="continuous")
-
-        live_engine = make_engine(resilience=resilience)
-        requests = mixed_trace(live_engine)
-        replayed = replay_trace(live_engine, requests)
-
-        assert decision_trace(simulated, include_timing=True) == (
-            decision_trace(replayed, include_timing=True)
-        )
-        assert simulated.retries == replayed.retries
-        assert simulated.failovers == replayed.failovers
-        assert simulated.health_timeline == replayed.health_timeline
-        assert sorted(r.request_id for r in simulated.requests) == (
-            sorted(r.request_id for r in replayed.requests)
-        )
+        golden = load_golden(f"chaos_seed{seed}")
+        for report in run_and_replayed(resilience):
+            assert outcome(report) == golden
 
     def test_same_seed_replays_are_bit_identical(self):
-        traces = []
+        golden = load_golden("chaos_same_seed")
+        assert golden["retries"] > 0, "the chaos seed should exercise retries"
         for _ in range(2):
-            engine = make_engine(resilience=CHAOS)
-            requests = mixed_trace(engine)
-            traces.append(
-                decision_trace(
-                    replay_trace(engine, requests), include_timing=True
-                )
-            )
-        assert traces[0] == traces[1]
+            for report in run_and_replayed(CHAOS):
+                assert outcome(report) == golden
 
 
 class TestLiveChaos:
